@@ -69,16 +69,20 @@ func BenchmarkGatewaySV(b *testing.B)  { benchGateway(b, workload.SV) }
 // every request. The sampled case is the acceptance bar — it must stay
 // within ~3% of off (compare ns/op across sub-benchmarks; the stamps are
 // a few time.Now calls plus lock-free histogram adds on 1/16 of
-// requests, invisible next to a socket round trip).
+// requests, invisible next to a socket round trip). both16 is the
+// gateway side of the fwd-traced benchmark workload: 1-in-16 histogram
+// sampling plus distributed tracing, both fed from one set of stamps.
 func BenchmarkGatewayTracing(b *testing.B) {
 	for _, c := range []struct {
 		name  string
 		every int
-	}{{"off", 0}, {"sampled16", 16}, {"every", 1}} {
+		trace bool
+	}{{"off", 0, false}, {"sampled16", 16, false}, {"every", 1, false}, {"both16", 16, true}} {
 		b.Run(c.name, func(b *testing.B) {
 			benchGatewayCfg(b, workload.CBR, gateway.Config{
 				UseCase:    workload.CBR,
 				TraceEvery: c.every,
+				Trace:      c.trace,
 			})
 		})
 	}

@@ -1,11 +1,16 @@
 // Package dtrace is the gateway's distributed per-request tracing plane:
-// where the stage tracer (internal/gateway) aggregates sampled stamps
+// where the stage tracer (internal/gateway) aggregates sampled requests
 // into histograms, dtrace keeps the *individual* request — a trace ID
 // minted at admission (or adopted from the client's X-AON-Trace header),
 // one span per pipeline stage, context propagated on upstream forwards,
 // and a server-side span recorded in the backend — so a p99 exemplar can
 // be followed across process boundaries and attributed to parse, queue,
-// or backend time. Completed traces land in a bounded ring behind
+// or backend time. The gateway builds both views from one set of stage
+// boundary stamps per request: each stage span runs between two
+// boundaries (read: read start→enqueue, queue: →dequeue, parse:
+// →parsed, process: →processed, forward: →forwarded, i.e. the upstream
+// header build plus the round trip; write: write start→write end), so a
+// span's duration is exactly the histogram's observation. Completed traces land in a bounded ring behind
 // tail-based sampling: slow, shed, errored, and idle-reaped requests are
 // always kept, the ordinary fast majority probabilistically, so the ring
 // holds exactly the requests worth drilling into.

@@ -135,28 +135,34 @@ func (cl *capacityLoop) run() {
 	}
 }
 
-// stageDemandSec reads one stage's windowed mean demand in seconds,
-// aggregated across the use-case tracer slots (the control-plane GET
-// slot is excluded — GETs never hold a worker). Falls back to the
-// cumulative mean while the window is empty, so a freshly started
+// stageDemands reads each stage's windowed mean demand in seconds,
+// aggregated across the tracer slots lo..hi-1 (callers leave out the
+// control-plane GET slot — GETs never hold a worker). A stage falls back
+// to its cumulative mean while its window is empty, so a freshly started
 // gateway gets demands as soon as the first traced requests land.
-func stageDemandSec(cur, prev *[numTraceSlots][numStages]lhist.Counts, st Stage) float64 {
-	var winN, winSum, cumN, cumSum uint64
-	for slot := 0; slot < numTraceUseCases; slot++ {
-		c := cur[slot][st]
-		w := c.Sub(prev[slot][st])
-		winN += w.N
-		winSum += w.SumUS
-		cumN += c.N
-		cumSum += c.SumUS
+func stageDemands(cur, prev *[numTraceSlots][numStages]lhist.Counts, lo, hi int) capacity.StageDemands {
+	sec := func(st Stage) float64 {
+		var winN, winSum, cumN, cumSum uint64
+		for slot := lo; slot < hi; slot++ {
+			c := cur[slot][st]
+			w := c.Sub(prev[slot][st])
+			winN += w.N
+			winSum += w.SumUS
+			cumN += c.N
+			cumSum += c.SumUS
+		}
+		if winN > 0 {
+			return float64(winSum) / float64(winN) / 1e6
+		}
+		if cumN > 0 {
+			return float64(cumSum) / float64(cumN) / 1e6
+		}
+		return 0
 	}
-	if winN > 0 {
-		return float64(winSum) / float64(winN) / 1e6
+	return capacity.StageDemands{
+		Read: sec(StageRead), Parse: sec(StageParse), Process: sec(StageProcess),
+		Forward: sec(StageForward), Write: sec(StageWrite),
 	}
-	if cumN > 0 {
-		return float64(cumSum) / float64(cumN) / 1e6
-	}
-	return 0
 }
 
 // tick runs one control step: window the counters, observe, decide,
@@ -183,13 +189,7 @@ func (cl *capacityLoop) tick(now time.Time) {
 	latWin := lat.Sub(cl.prevLat)
 	p99 := time.Duration(latWin.Quantile(0.99)) * time.Microsecond
 
-	demands := capacity.StageDemands{
-		Read:    stageDemandSec(&stages, &cl.prevStages, StageRead),
-		Parse:   stageDemandSec(&stages, &cl.prevStages, StageParse),
-		Process: stageDemandSec(&stages, &cl.prevStages, StageProcess),
-		Forward: stageDemandSec(&stages, &cl.prevStages, StageForward),
-		Write:   stageDemandSec(&stages, &cl.prevStages, StageWrite),
-	}
+	demands := stageDemands(&stages, &cl.prevStages, 0, numTraceUseCases)
 
 	workers := int(s.poolSize.Load())
 	backendConns, backends := 0, 0
@@ -265,20 +265,7 @@ func (cl *capacityLoop) perUseCaseErrors(stages *[numTraceSlots][numStages]lhist
 		if done <= 0 {
 			continue
 		}
-		one := func(st Stage) float64 {
-			w := stages[uc][st].Sub(cl.prevStages[uc][st])
-			if w.N > 0 {
-				return w.MeanUS() / 1e6
-			}
-			if c := stages[uc][st]; c.N > 0 {
-				return c.MeanUS() / 1e6
-			}
-			return 0
-		}
-		d := capacity.StageDemands{
-			Read: one(StageRead), Parse: one(StageParse), Process: one(StageProcess),
-			Forward: one(StageForward), Write: one(StageWrite),
-		}
+		d := stageDemands(stages, &cl.prevStages, uc, uc+1)
 		if d.WorkerDemand() <= 0 {
 			continue
 		}

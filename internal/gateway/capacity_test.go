@@ -138,7 +138,17 @@ func TestAdaptiveAdmissionEndToEnd(t *testing.T) {
 	if c.Predicted == nil || c.Predicted.ThroughputPerSec <= 0 {
 		t.Fatalf("prediction missing: %+v", c.Predicted)
 	}
-	// GET requests themselves were traced into the control slot.
+	// GET requests themselves were traced into the control slot. A
+	// request's stages are recorded once its response is written, so the
+	// first GET shows up in the next /stats read on this connection.
+	resp, err = cl.Do([]byte("GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"), 5*time.Second)
+	if err != nil || resp.Status != 200 {
+		t.Fatalf("second GET /stats: resp=%+v err=%v", resp, err)
+	}
+	snap = Snapshot{}
+	if err := json.Unmarshal(resp.Body, &snap); err != nil {
+		t.Fatalf("stats body not JSON: %v\n%s", err, resp.Body)
+	}
 	if _, ok := snap.Stages["GET"]; !ok {
 		t.Fatalf("control-plane GET row missing from stages: %v", snap.Stages)
 	}

@@ -31,7 +31,7 @@ func newDtraceState(cfg Config) *dtraceState {
 		node: cfg.TraceNode,
 		tail: dtrace.NewTail(dtrace.TailConfig{
 			Capacity:   cfg.TraceCapacity,
-			SlowOverUS: cfg.TraceSlowOver.Microseconds(),
+			SlowOverUS: slowOverUS(cfg.TraceSlowOver),
 			KeepEvery:  cfg.TraceKeepEvery,
 		}),
 	}
@@ -46,6 +46,15 @@ func newDtraceState(cfg Config) *dtraceState {
 		d.slow = &slowLogger{w: cfg.SlowLog, perSec: perSec}
 	}
 	return d
+}
+
+// slowOverUS maps TraceSlowOver onto dtrace's µs sentinel: negative
+// stays off, 0 the default, and a positive bound keeps at least 1µs.
+func slowOverUS(d time.Duration) int64 {
+	if d <= 0 {
+		return int64(d) // keeps the sentinel's sign
+	}
+	return max(d.Microseconds(), 1)
 }
 
 // finish closes a recorder the connection reader still owns — the

@@ -46,13 +46,17 @@ func getTraces(t *testing.T, addr, query string) TracesResponse {
 // client drives FR through a tracing gateway that forwards to a real
 // order backend, and the three nodes' span sets must assemble into one
 // trace — client request span, adopted gateway stage spans, backend
-// serve span — joined purely by trace ID with intact parent links.
+// serve span — joined purely by trace ID with intact parent links. With
+// every request also in the stage-histogram sample, the two views must
+// agree exactly per stage, across forwarded FR and partly in-place CBR.
 func TestDTraceForwardedEndToEnd(t *testing.T) {
 	order := startBackend(t, upstream.BackendConfig{Name: "order"})
 	srv := startServer(t, Config{
 		Workers:        2,
+		TraceEvery:     1,
 		Trace:          true,
-		TraceKeepEvery: 1, // keep every trace: the assertions are deterministic
+		TraceKeepEvery: 1,   // keep every trace: the assertions are deterministic
+		TraceCapacity:  128, // above the 80 requests sent
 		Upstream:       upstream.Config{Order: order.Addr().String()},
 	})
 
@@ -79,6 +83,7 @@ func TestDTraceForwardedEndToEnd(t *testing.T) {
 	}
 
 	// Gateway side: every request was traced and kept.
+	waitInflight(t, srv, 0)
 	gw := getTraces(t, srv.Addr().String(), "")
 	if gw.Node != "gateway" {
 		t.Fatalf("gateway node=%q", gw.Node)
@@ -177,6 +182,39 @@ func TestDTraceForwardedEndToEnd(t *testing.T) {
 	snap := srv.Snapshot()
 	if snap.Traces == nil || snap.Traces.Tail.Kept != 40 {
 		t.Fatalf("stats traces section %+v", snap.Traces)
+	}
+
+	// CBR adds in-place answers (the routed_error half has no backend).
+	rep, err = RunLoad(LoadConfig{Addr: srv.Addr().String(), UseCase: workload.CBR, Conns: 2, Messages: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK != 40 {
+		t.Fatalf("CBR: ok=%d, want 40", rep.OK)
+	}
+	waitInflight(t, srv, 0)
+	var spanN, spanSum [numStages]int64
+	for _, tr := range getTraces(t, srv.Addr().String(), "").Traces {
+		for _, sp := range tr.Spans {
+			for st := Stage(0); st < numStages; st++ {
+				if sp.Node == "gateway" && sp.Name == st.String() {
+					spanN[st]++
+					spanSum[st] += sp.DurUS
+				}
+			}
+		}
+	}
+	for st := Stage(0); st < numStages; st++ {
+		var histN, histSum uint64
+		for slot := 0; slot < numTraceUseCases; slot++ {
+			c := srv.tracer.stageCounts(slot, st)
+			histN += c.N
+			histSum += c.SumUS
+		}
+		if spanN[st] == 0 || histN != uint64(spanN[st]) || histSum != uint64(spanSum[st]) {
+			t.Errorf("stage %s: histogram count=%d sum_us=%d, spans count=%d sum_us=%d",
+				st, histN, histSum, spanN[st], spanSum[st])
+		}
 	}
 }
 
@@ -339,7 +377,9 @@ func TestDTraceDisabled404(t *testing.T) {
 	}
 }
 
-// TestDTraceConfigValidation rejects the nonsense knob values.
+// TestDTraceConfigValidation rejects the nonsense knob values and pins
+// the TraceSlowOver sentinel: negative (even sub-µs) disables the slow
+// rule, 0 means the 50ms default, and a sub-µs positive bound is 1µs.
 func TestDTraceConfigValidation(t *testing.T) {
 	for _, cfg := range []Config{
 		{Trace: true, TraceCapacity: -1},
@@ -347,6 +387,26 @@ func TestDTraceConfigValidation(t *testing.T) {
 	} {
 		if _, err := New(cfg); err == nil {
 			t.Fatalf("New(%+v) accepted invalid config", cfg)
+		}
+	}
+	for _, c := range []struct {
+		slowOver time.Duration
+		root     time.Duration
+		wantSlow uint64
+	}{
+		{-1, 60 * time.Millisecond, 0},
+		{0, 60 * time.Millisecond, 1},
+		{0, 40 * time.Millisecond, 0},
+		{500, time.Microsecond, 1},
+	} {
+		d := newDtraceState(Config{TraceSlowOver: c.slowOver, TraceKeepEvery: 1 << 30})
+		rec := dtrace.GetRecorder(d.node)
+		start := time.Now()
+		rec.Begin("gateway", start)
+		rec.Finish(start.Add(c.root))
+		d.offer(rec)
+		if got := d.tail.Stats().KeptSlow; got != c.wantSlow {
+			t.Errorf("TraceSlowOver=%v, root %v: kept_slow=%d, want %d", c.slowOver, c.root, got, c.wantSlow)
 		}
 	}
 }

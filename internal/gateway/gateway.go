@@ -102,21 +102,21 @@ type Config struct {
 	// flusher (the PR 4 dump-on-signal/shutdown behavior). Negative is
 	// rejected by New.
 	TimelineFlushInterval time.Duration
-	// TraceEvery enables per-request stage tracing, sampling one request
-	// in every TraceEvery through monotonic stamps around
-	// read→queue→parse→process→forward→write, aggregated into
-	// per-use-case per-stage histograms on /stats. 0 disables; negative
-	// is rejected by New.
+	// TraceEvery enables the aggregate stage histograms on /stats:
+	// one request in every TraceEvery is sampled, and its stage durations
+	// (read→queue→parse→process→forward→write, each the gap between two
+	// of the request's boundary stamps) go into per-use-case per-stage
+	// histograms. 0 disables; negative is rejected by New.
 	TraceEvery int
 	// Trace enables distributed per-request tracing (internal/dtrace):
-	// every request records real spans around the
-	// read→queue→parse→process→forward→write stage points into a pooled
-	// recorder, adopts an inbound X-AON-Trace context (or mints one),
-	// propagates context on upstream forwards, and offers the finished
-	// trace to a tail-based sampler — shed/idle-reaped/5xx and slow
-	// requests are always kept, the fast majority 1-in-TraceKeepEvery —
-	// served on GET /traces. Orthogonal to TraceEvery's aggregate stage
-	// histograms.
+	// every request's stages become spans in a pooled recorder, inbound
+	// X-AON-Trace context is adopted (or minted) and propagated on
+	// upstream forwards, and a tail-based sampler keeps shed/idle-reaped/
+	// 5xx and slow requests plus 1-in-TraceKeepEvery of the rest for GET
+	// /traces. Both views come from one set of boundary stamps per
+	// request, so a sampled request's histogram observations equal its
+	// span durations; in both, forward covers the upstream header build
+	// plus the round trip.
 	Trace bool
 	// TraceNode names this process in recorded spans (default
 	// "gateway"); fleet mode passes the topology node key so assembled
@@ -169,18 +169,21 @@ type Config struct {
 // worker and back. Jobs are pooled; the resp channel is created once and
 // reused for the job's whole pooled lifetime.
 type job struct {
-	raw   []byte
-	start time.Time
-	resp  chan response
+	raw  []byte
+	resp chan response
 
-	traced  bool          // this request is in the stage-trace sample
-	readDur time.Duration // wire→memory framing time (traced requests only)
+	// st holds the request's stage boundaries: bEnqueue always (it
+	// starts the end-to-end latency), the rest only for a stamped request
+	// (bRead set). The worker stamps dequeue through forwarded, the
+	// reader the others; the resp send/receive orders the two.
+	st stamps
 
 	// rec is the request's distributed-trace recorder (nil with tracing
-	// off). Ownership rides with the job: the reader attaches it before
-	// enqueue, the worker records stage spans into it, and the reader
-	// takes it back on the resp receive — never shared.
-	rec *dtrace.Recorder
+	// off), fwdID its pre-minted forward span ID. Ownership rides with the
+	// job: the reader attaches rec before enqueue, the worker annotates
+	// it, and the reader takes it back on the resp receive — never shared.
+	rec   *dtrace.Recorder
+	fwdID dtrace.ID
 }
 
 // response carries a formatted answer from a worker back to the
@@ -196,8 +199,7 @@ type response struct {
 	buf    *[]byte
 	close  bool // respond then close the connection
 	uc     workload.UseCase
-	traced bool // stamp the write stage on the way out
-	status int  // HTTP status (tail sampling's error rule reads it)
+	status int // HTTP status (tail sampling's error rule reads it)
 }
 
 // Hot-path pools. Frames and bufio readers are owned by one connection
@@ -527,21 +529,17 @@ func (s *Server) handleConn(c net.Conn) {
 		if s.cfg.IdleTimeout > 0 {
 			c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		}
-		// For traced requests the read stage runs first byte → complete
-		// body: Peek blocks until the next request's first byte arrives
-		// (consuming nothing), so keep-alive idle time never counts as
-		// read time. Peek errors fall through to readRequest, which
-		// reports them on its existing paths.
-		var traced bool
+		// Stamped requests (the histogram sample, or all with Trace on)
+		// start the read stage at the first byte: Peek blocks until it
+		// arrives (consuming nothing), so keep-alive idle time never
+		// counts as read time. Peek errors resurface from readRequest.
+		var sampled bool
 		var tRead time.Time
 		if s.tracer != nil || s.dtr != nil {
-			if _, err := br.Peek(1); err == nil {
-				if s.tracer != nil {
-					traced = s.tracer.sample()
-				}
-				if traced || s.dtr != nil {
-					tRead = time.Now()
-				}
+			_, perr := br.Peek(1)
+			sampled = perr == nil && s.tracer != nil && s.tracer.sample()
+			if sampled || s.dtr != nil {
+				tRead = time.Now()
 			}
 		}
 		raw, err := readRequest(br, s.cfg.MaxBodyBytes, *fp)
@@ -550,7 +548,7 @@ func (s *Server) handleConn(c net.Conn) {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
 				s.Metrics.IdleTimeouts.Add(1)
-				if s.dtr != nil && len(raw) > 0 && !tRead.IsZero() {
+				if s.dtr != nil && len(raw) > 0 {
 					// Reaped mid-request: keep a synthetic trace so the
 					// idle-timeout is findable in the tail ring.
 					rec := dtrace.GetRecorder(s.dtr.node)
@@ -572,21 +570,23 @@ func (s *Server) handleConn(c net.Conn) {
 
 		// GET requests (the /stats endpoint) bypass the worker pool so
 		// observability survives overload — the whole point of /stats.
+		// Without queue or parse, read ends where process begins.
 		if bytes.HasPrefix(raw, []byte("GET ")) {
-			var tProc time.Time
-			if traced {
-				tProc = time.Now()
-				s.tracer.observeControl(StageRead, tProc.Sub(tRead))
+			var b stamps
+			if sampled {
+				b[bRead] = tRead
+				b[bEnqueue] = time.Now()
+				b[bParsed] = b[bEnqueue]
 			}
 			resp := s.handleGet(raw)
-			var tWrite time.Time
-			if traced {
-				tWrite = time.Now()
-				s.tracer.observeControl(StageProcess, tWrite.Sub(tProc))
+			if sampled {
+				b[bProcessed] = time.Now()
+				b[bWriteStart] = b[bProcessed]
 			}
 			ok := s.write(c, resp)
-			if traced {
-				s.tracer.observeControl(StageWrite, time.Since(tWrite))
+			if sampled {
+				b[bWriteEnd] = time.Now()
+				s.emitStages(&b, traceSlotControl, true, nil, 0)
 			}
 			if !ok {
 				return
@@ -600,9 +600,6 @@ func (s *Server) handleConn(c net.Conn) {
 		// and returns with the resp receive.
 		var rec *dtrace.Recorder
 		if s.dtr != nil {
-			if tRead.IsZero() {
-				tRead = time.Now()
-			}
 			rec = dtrace.GetRecorder(s.dtr.node)
 			rec.Begin("gateway", tRead)
 		}
@@ -627,33 +624,22 @@ func (s *Server) handleConn(c net.Conn) {
 			continue
 		}
 		j := jobPool.Get().(*job)
-		j.raw, j.start, j.traced, j.readDur = raw, time.Now(), false, 0
-		if traced {
-			j.traced, j.readDur = true, j.start.Sub(tRead)
-		}
-		if rec != nil {
-			rec.Add("read", tRead, j.start.Sub(tRead))
-			j.rec = rec
-		}
+		j.raw, j.rec = raw, rec
+		j.st = stamps{bRead: tRead, bEnqueue: time.Now()}
 		s.inflight.Add(1)
 		select {
 		case s.jobs <- j:
 			r := <-j.resp
-			j.raw, j.rec = nil, nil
-			jobPool.Put(j)
-			var tWrite time.Time
-			if r.traced || rec != nil {
-				tWrite = time.Now()
+			if !tRead.IsZero() {
+				j.st[bWriteStart] = time.Now()
 			}
 			ok := s.writeResp(c, &r, &nb)
-			if r.traced {
-				s.tracer.observe(r.uc, StageWrite, time.Since(tWrite))
+			if !tRead.IsZero() {
+				j.st[bWriteEnd] = time.Now()
+				s.emitStages(&j.st, int(r.uc), sampled, rec, j.fwdID)
 			}
-			if rec != nil {
-				rec.Add("write", tWrite, time.Since(tWrite))
-				rec.Finish(time.Now())
-				s.dtr.offer(rec)
-			}
+			j.raw, j.rec = nil, nil
+			jobPool.Put(j)
 			s.inflight.Add(-1)
 			if !ok || r.close {
 				return
@@ -753,35 +739,26 @@ func (s *Server) worker(id int, quit chan struct{}) {
 // the reader never touches the frame again until it has received and
 // written this response.
 func (s *Server) process(j *job, sc *wscratch) response {
-	// Stage stamps bracket the worker's phases for traced requests; the
-	// ProcessDelay fault-injection stall runs inside the process stage,
-	// so an emulated slower device shows up as process demand — which is
-	// what the capacity model (and adaptive admission) must see.
+	// The ProcessDelay fault-injection stall runs inside the process
+	// stage, so an emulated slower device shows up as process demand —
+	// which is what the capacity model (and adaptive admission) must see.
 	rec := j.rec
-	stamp := j.traced || rec != nil
-	var tDeq time.Time
-	if stamp {
-		tDeq = time.Now()
-	}
-	var tWork time.Time
-	if stamp {
-		tWork = time.Now()
+	stamped := !j.st[bRead].IsZero()
+	if stamped {
+		j.st[bDequeue] = time.Now()
 	}
 	req := &sc.req
-	if err := httpmsg.ParseRequestInto(j.raw, req); err != nil {
+	err := httpmsg.ParseRequestInto(j.raw, req)
+	if stamped {
+		j.st[bParsed] = time.Now()
+	}
+	if err != nil {
 		uc := s.cfg.UseCase // malformed request: no path to select from
-		if j.traced {
-			s.tracer.observe(uc, StageRead, j.readDur)
-			s.tracer.observe(uc, StageQueue, tDeq.Sub(j.start))
-			s.tracer.observe(uc, StageParse, time.Since(tWork))
-		}
 		if rec != nil {
-			rec.Add("queue", j.start, tDeq.Sub(j.start))
-			rec.Add("parse", tWork, time.Since(tWork))
 			rec.Annotate(uc.String(), OutParseError.String(), 400)
 		}
-		s.Metrics.Done(OutParseError, uc, time.Since(j.start))
-		return response{head: formatError(400, err.Error(), true), close: true, uc: uc, traced: j.traced, status: 400}
+		s.Metrics.Done(OutParseError, uc, time.Since(j.st[bEnqueue]))
+		return response{head: formatError(400, err.Error(), true), close: true, uc: uc, status: 400}
 	}
 	if rec != nil {
 		// Adopt an inbound trace context (aonload/aoncamp originate
@@ -793,36 +770,20 @@ func (s *Server) process(j *job, sc *wscratch) response {
 			}
 		}
 	}
-	var tParsed time.Time
-	if stamp {
-		tParsed = time.Now()
-	}
 	uc := s.pipe.SelectUseCase(req.Target)
 	if s.cfg.ProcessDelay > 0 {
 		time.Sleep(s.cfg.ProcessDelay)
 	}
 	out := s.pipe.Process(uc, req)
-	var tProcessed time.Time
-	if stamp {
-		tProcessed = time.Now()
-	}
-	if j.traced {
-		s.tracer.observe(uc, StageRead, j.readDur)
-		s.tracer.observe(uc, StageQueue, tDeq.Sub(j.start))
-		s.tracer.observe(uc, StageParse, tParsed.Sub(tWork))
-		s.tracer.observe(uc, StageProcess, tProcessed.Sub(tParsed))
-	}
-	if rec != nil {
-		rec.Add("queue", j.start, tDeq.Sub(j.start))
-		rec.Add("parse", tWork, tParsed.Sub(tWork))
-		rec.Add("process", tParsed, tProcessed.Sub(tParsed))
+	if stamped {
+		j.st[bProcessed] = time.Now()
 	}
 	if out == OutParseError {
 		if rec != nil {
 			rec.Annotate(uc.String(), out.String(), 400)
 		}
-		s.Metrics.Done(out, uc, time.Since(j.start))
-		return response{head: formatError(400, "unprocessable message", false), uc: uc, traced: j.traced, status: 400}
+		s.Metrics.Done(out, uc, time.Since(j.st[bEnqueue]))
+		return response{head: formatError(400, "unprocessable message", false), uc: uc, status: 400}
 	}
 	connClose := false
 	if v, ok := req.Get("Connection"); ok && strings.EqualFold(v, "close") {
@@ -840,9 +801,9 @@ func (s *Server) process(j *job, sc *wscratch) response {
 	if s.fwd != nil && s.fwd.Has(route) {
 		// Forwarding mode: the paper's device proxies onward — relay the
 		// backend's answer (or map its failure to 502/504, never hang).
-		vbody, inline = s.forward(resp, route, uc, out, req, sc, rec)
-		if j.traced {
-			s.tracer.observe(uc, StageForward, time.Since(tProcessed))
+		vbody, inline = s.forward(resp, route, uc, out, req, sc, j)
+		if stamped {
+			j.st[bForwarded] = time.Now()
 		}
 	} else {
 		// In-place mode (no backend for this route): synthesize the
@@ -865,7 +826,7 @@ func (s *Server) process(j *job, sc *wscratch) response {
 	if rec != nil {
 		rec.Annotate(uc.String(), out.String(), resp.Status)
 	}
-	s.Metrics.Done(out, uc, time.Since(j.start))
+	s.Metrics.Done(out, uc, time.Since(j.st[bEnqueue]))
 	if connClose {
 		resp.Headers = append(resp.Headers, httpmsg.Header{Name: "Connection", Value: "close"})
 	}
@@ -873,7 +834,7 @@ func (s *Server) process(j *job, sc *wscratch) response {
 	head := httpmsg.AppendResponseHeader((*buf)[:0], resp, len(vbody)+len(inline))
 	head = append(head, inline...)
 	sc.hdrs = resp.Headers[:0] // keep the grown header backing
-	return response{head: head, body: vbody, buf: buf, close: connClose, uc: uc, traced: j.traced, status: resp.Status}
+	return response{head: head, body: vbody, buf: buf, close: connClose, uc: uc, status: resp.Status}
 }
 
 // appendVerdict appends the in-place routing verdict JSON — the append
@@ -894,12 +855,12 @@ func appendVerdict(dst []byte, uc, out, route string) []byte {
 // (unreachable/down) or 504 (timed out) — bounded by the upstream retry
 // budget, so the client never hangs on a dead backend. The upstream
 // request header is built in the worker's scratch and written vectored
-// with the body view, so forwarding copies no payload bytes. With rec
+// with the body view, so forwarding copies no payload bytes. With j.rec
 // set, the trace context propagates on an X-AON-Trace header whose
-// parent span ID is minted *before* the round trip — the backend's
-// serve span parents under the forward span it rode in on. Returns
-// (vectored body, inline body) for the caller's response formatting.
-func (s *Server) forward(resp *httpmsg.Response, route string, uc workload.UseCase, out Outcome, req *httpmsg.Request, sc *wscratch, rec *dtrace.Recorder) (vbody, inline []byte) {
+// parent span ID (j.fwdID) is minted *before* the round trip — the
+// backend's serve span parents under the forward span it rode in on.
+// Returns (vectored body, inline body) for the caller's formatting.
+func (s *Server) forward(resp *httpmsg.Response, route string, uc workload.UseCase, out Outcome, req *httpmsg.Request, sc *wscratch, j *job) (vbody, inline []byte) {
 	up := &sc.upReq
 	*up = httpmsg.Request{
 		Method:  "POST",
@@ -914,24 +875,18 @@ func (s *Server) forward(resp *httpmsg.Response, route string, uc workload.UseCa
 		httpmsg.Header{Name: "X-AON-Outcome", Value: out.String()},
 		httpmsg.Header{Name: "X-AON-Usecase", Value: uc.String()},
 	)
-	var fwdID dtrace.ID
-	var tFwd time.Time
-	if rec != nil {
-		fwdID = dtrace.NewID()
-		sc.trval = dtrace.AppendHeaderValue(sc.trval[:0], rec.TraceID(), fwdID)
+	if j.rec != nil {
+		j.fwdID = dtrace.NewID()
+		sc.trval = dtrace.AppendHeaderValue(sc.trval[:0], j.rec.TraceID(), j.fwdID)
 		// The zc view over the worker's scratch is safe: the serializer
 		// below copies header values into upHead before the scratch is
 		// touched again.
 		up.Headers = append(up.Headers,
 			httpmsg.Header{Name: dtrace.Header, Value: zc.String(sc.trval)})
-		tFwd = time.Now()
 	}
 	sc.upHead = httpmsg.AppendRequestHeader(sc.upHead[:0], up, len(req.Body))
 	sc.upHdrs = up.Headers[:0]
 	res, err := s.fwd.RoundTripBuffers(route, sc.upHead, req.Body)
-	if rec != nil {
-		rec.Child(fwdID, "forward", tFwd, time.Since(tFwd))
-	}
 	if err != nil {
 		s.Metrics.UpstreamErrs.Add(1)
 		resp.Status = upstream.StatusFor(err)

@@ -33,6 +33,19 @@ func startServer(t *testing.T, cfg Config) *Server {
 	return srv
 }
 
+// waitInflight waits until exactly n requests are between admission and
+// the end of their response write, where their stages are recorded.
+func waitInflight(t *testing.T, srv *Server, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.inflight.Load() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("in-flight requests: %d, want %d", srv.inflight.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestEndToEndUseCases is the acceptance path: one live gateway, driven by
 // the cmd/aonload client code (RunLoad) for all three paper use cases,
 // asserting routing outcomes and non-zero throughput.
@@ -244,7 +257,9 @@ func TestPathDispatch(t *testing.T) {
 // TestGracefulShutdown: in-flight work completes, then new connections
 // are refused.
 func TestGracefulShutdown(t *testing.T) {
-	srv, err := New(Config{Workers: 2, ProcessDelay: 30 * time.Millisecond})
+	// The stall keeps the request in flight long enough that the
+	// in-flight poll below cannot miss it on a loaded -race run.
+	srv, err := New(Config{Workers: 2, ProcessDelay: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +284,7 @@ func TestGracefulShutdown(t *testing.T) {
 		}
 		done <- resp
 	}()
-	time.Sleep(10 * time.Millisecond) // let it reach the worker
+	waitInflight(t, srv, 1) // admitted: Shutdown must drain it
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

@@ -1,9 +1,11 @@
 package gateway
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/dtrace"
 	"repro/internal/lhist"
 	"repro/internal/workload"
 )
@@ -11,23 +13,25 @@ import (
 // Stage names one segment of a request's path through the gateway —
 // the live analogue of the paper's per-phase VTune breakdown: where the
 // end-to-end latency histogram says how long a message took, the stage
-// trace says where it went.
+// trace says where it went. Each stage runs between two of the
+// request's boundary stamps.
 type Stage int
 
 const (
-	// StageRead: wire→memory — framing the request off the socket,
-	// first byte to complete body (keep-alive idle time excluded).
+	// StageRead: read start → enqueue — framing the request off the
+	// socket, first byte to complete body (keep-alive idle time excluded).
 	StageRead Stage = iota
-	// StageQueue: admission queue wait, enqueue to worker dequeue — the
+	// StageQueue: enqueue → dequeue — the admission queue wait, the
 	// paper's thread-pool queueing delay made visible.
 	StageQueue
-	// StageParse: the full HTTP parse on the worker.
+	// StageParse: dequeue → parsed — the full HTTP parse on the worker.
 	StageParse
-	// StageProcess: the use-case pipeline — route/validate/inspect.
+	// StageProcess: parsed → processed — route/validate/inspect.
 	StageProcess
-	// StageForward: the upstream round trip (forwarding mode only).
+	// StageForward: processed → forwarded — the upstream request header
+	// build plus the round trip (forwarding mode only).
 	StageForward
-	// StageWrite: serializing and writing the response to the client.
+	// StageWrite: write start → write end — the response write.
 	StageWrite
 	numStages
 )
@@ -46,11 +50,9 @@ func (s Stage) String() string {
 // numTraceUseCases covers FR/CBR/SV plus the DPI/AUTH/XJ extensions.
 const numTraceUseCases = 6
 
-// traceSlotControl is the extra tracer slot for control-plane GETs
-// (/stats, /timeline): they bypass the worker pool, but untraced they
-// would silently skew nothing while still costing read/process/write
-// time on the connection readers — so they get their own row ("GET")
-// in the stage breakdown instead.
+// traceSlotControl is the tracer slot for control-plane GETs (/stats,
+// /timeline, /traces): they bypass the worker pool but still cost
+// read/process/write time on the connection readers, shown as row "GET".
 const traceSlotControl = numTraceUseCases
 
 // numTraceSlots is every use case plus the control-plane slot.
@@ -89,22 +91,13 @@ func (t *stageTracer) sample() bool {
 	return t.seq.Add(1)%t.every == 0
 }
 
-// observe records one stage duration for a traced request.
-func (t *stageTracer) observe(uc workload.UseCase, st Stage, d time.Duration) {
-	if uc < 0 || int(uc) >= numTraceUseCases || st < 0 || st >= numStages {
+// observe records one stage duration of a sampled request into slot
+// (a use case, or traceSlotControl).
+func (t *stageTracer) observe(slot int, st Stage, d time.Duration) {
+	if slot < 0 || slot >= numTraceSlots {
 		return
 	}
-	t.hists[uc][st].Observe(d)
-}
-
-// observeControl records one stage duration for a traced control-plane
-// GET (the /stats path never reaches a worker, so only read/process/
-// write carry signal).
-func (t *stageTracer) observeControl(st Stage, d time.Duration) {
-	if st < 0 || st >= numStages {
-		return
-	}
-	t.hists[traceSlotControl][st].Observe(d)
+	t.hists[slot][st].Observe(d)
 }
 
 // stageCounts reads one slot+stage histogram's raw counts — the
@@ -142,10 +135,63 @@ func (t *stageTracer) snapshot() StageSnapshot {
 
 // StageNames lists the trace stages in pipeline order, for table
 // renderers that want stable column order.
-func StageNames() []string {
-	out := make([]string, numStages)
-	for i := range out {
-		out[i] = stageNames[i]
+func StageNames() []string { return slices.Clone(stageNames[:]) }
+
+// boundary indexes a request's stamps. Each is read from the clock once
+// and shared by the stage it ends and the stage it begins, so the stage
+// histograms and the trace spans of one request agree exactly.
+type boundary int
+
+const (
+	bRead       boundary = iota // first request byte available
+	bEnqueue                    // framed and admitted (a control-plane GET starts its handling here)
+	bDequeue                    // a worker took the job
+	bParsed                     // HTTP parse done (a control-plane GET: same as bEnqueue)
+	bProcessed                  // use-case pipeline done
+	bForwarded                  // upstream round trip done (forwarded requests only)
+	bWriteStart                 // response write begins
+	bWriteEnd                   // response write done
+	numBoundaries
+)
+
+// stamps holds one request's boundaries; a zero entry was never reached.
+type stamps [numBoundaries]time.Time
+
+// stageBounds maps each stage to the boundaries that open and close it.
+var stageBounds = [numStages][2]boundary{
+	StageRead:    {bRead, bEnqueue},
+	StageQueue:   {bEnqueue, bDequeue},
+	StageParse:   {bDequeue, bParsed},
+	StageProcess: {bParsed, bProcessed},
+	StageForward: {bProcessed, bForwarded},
+	StageWrite:   {bWriteStart, bWriteEnd},
+}
+
+// emitStages is a stamped request's one exit point: each stage with both
+// boundaries reached becomes a histogram observation in slot when
+// sampled, and a span in rec when non-nil (forward under its pre-minted
+// fwdID, the backend serve span's parent). rec is then closed at the
+// write end and offered to the tail sampler, which recycles it.
+func (s *Server) emitStages(b *stamps, slot int, sampled bool, rec *dtrace.Recorder, fwdID dtrace.ID) {
+	for st := Stage(0); st < numStages; st++ {
+		from, to := b[stageBounds[st][0]], b[stageBounds[st][1]]
+		if from.IsZero() || to.IsZero() {
+			continue
+		}
+		d := to.Sub(from)
+		if sampled {
+			s.tracer.observe(slot, st, d)
+		}
+		if rec != nil {
+			if st == StageForward {
+				rec.Child(fwdID, stageNames[st], from, d)
+			} else {
+				rec.Add(stageNames[st], from, d)
+			}
+		}
 	}
-	return out
+	if rec != nil {
+		rec.Finish(b[bWriteEnd])
+		s.dtr.offer(rec)
+	}
 }
