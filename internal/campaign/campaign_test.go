@@ -3,9 +3,11 @@ package campaign
 import (
 	"bufio"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -245,5 +247,35 @@ func TestCampaignEndToEnd(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("report missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestRunSurfacesArtifactWriteError points session.jsonl at /dev/full,
+// where every write fails: Run must return that failure, not finish
+// with a silently truncated artifact.
+func TestRunSurfacesArtifactWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this host")
+	}
+	srv, err := gateway.New(gateway.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+
+	outDir := t.TempDir()
+	if err := os.Symlink("/dev/full", filepath.Join(outDir, "session.jsonl")); err != nil {
+		t.Fatal(err)
+	}
+	spec := &Spec{Phases: []Phase{{Name: "only", DurationMS: 100, Conns: 1}}}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(spec, Options{Addr: srv.Addr().String(), OutDir: outDir})
+	if !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("Run err = %v, want the session.jsonl write failure (ENOSPC)", err)
 	}
 }

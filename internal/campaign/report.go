@@ -34,17 +34,7 @@ type PhaseReport struct {
 	PeakConns   int     `json:"peak_conns"`
 
 	// Client-side accounting.
-	Sent        uint64 `json:"sent"`
-	OK          uint64 `json:"ok_200"`
-	Shed        uint64 `json:"shed_503"`
-	HTTPErrors  uint64 `json:"http_errors"`
-	NetErrors   uint64 `json:"net_errors"`
-	Forwarded   uint64 `json:"forwarded"`
-	Match       uint64 `json:"routed_match"`
-	RoutedError uint64 `json:"routed_error"`
-	Valid       uint64 `json:"validation_ok"`
-	Translated  uint64 `json:"translated"`
-	ParseErrors uint64 `json:"parse_errors"`
+	gateway.Tally
 
 	OfferedPerSec float64 `json:"offered_per_sec"` // sent+shed+errors per second
 	OKPerSec      float64 `json:"ok_per_sec"`
@@ -102,35 +92,25 @@ type ModelError struct {
 	P99ErrPct        float64 `json:"p99_err_pct"`
 }
 
-// buildPhaseReport folds the phase's pools and gateway snapshots into
-// one report row.
-func buildPhaseReport(p *Phase, dur time.Duration, sp *senderPool, lp *lorisPool,
+// buildPhaseReport folds the phase's sender accounting, loris pool and
+// gateway snapshots into one report row.
+func buildPhaseReport(p *Phase, dur time.Duration, load gateway.Report, lp *lorisPool,
 	snapStart, snapEnd *gateway.Snapshot, spec *Spec) *PhaseReport {
 	rep := &PhaseReport{
-		Name:        p.Name,
-		Shape:       string(p.Shape),
-		UseCase:     p.UseCase,
-		DurationSec: dur.Seconds(),
-		PeakConns:   p.PeakWidth(),
-		Sent:        sp.sent.Load(),
-		OK:          sp.ok.Load(),
-		Shed:        sp.shed.Load(),
-		HTTPErrors:  sp.httpErr.Load(),
-		NetErrors:   sp.netErr.Load(),
-		Forwarded:   sp.forwarded.Load(),
-		Match:       sp.match.Load(),
-		RoutedError: sp.routedErr.Load(),
-		Valid:       sp.valid.Load(),
-		Translated:  sp.translated.Load(),
-		ParseErrors: sp.parseErr.Load(),
-		FaultSteps:  len(p.Faults),
+		Name:         p.Name,
+		Shape:        string(p.Shape),
+		UseCase:      p.UseCase,
+		DurationSec:  dur.Seconds(),
+		PeakConns:    p.PeakWidth(),
+		Tally:        load.Tally,
+		LatencyP50US: load.Latency.P50US,
+		LatencyP99US: load.Latency.P99US,
+		FaultSteps:   len(p.Faults),
 	}
 	if rep.DurationSec > 0 {
 		rep.OfferedPerSec = float64(rep.Sent) / rep.DurationSec
 		rep.OKPerSec = float64(rep.OK) / rep.DurationSec
 	}
-	h := sp.hist.Snapshot()
-	rep.LatencyP50US, rep.LatencyP99US = h.P50US, h.P99US
 	if lp != nil {
 		rep.LorisHeld = lp.held.Load()
 		rep.LorisReaped = lp.reaped.Load()

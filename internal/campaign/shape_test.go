@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 )
@@ -136,4 +138,47 @@ func TestSpecValidate(t *testing.T) {
 			t.Fatalf("bad spec %d accepted: %s", i, doc)
 		}
 	}
+}
+
+// FuzzParseSpec feeds arbitrary campaign documents to the spec parser:
+// it must never panic, and an accepted spec must survive a re-marshal.
+// Equality is checked on the encoding, where an empty list and an
+// absent one coincide, as they do for the runner.
+func FuzzParseSpec(f *testing.F) {
+	for _, doc := range []string{
+		`{"phases": [{"duration_ms": 100, "conns": 1}]}`,
+		`{"name": "t", "seed": 7, "backends": ["127.0.0.1:1"], "trace_every": 4,
+		  "phases": [
+			{"name": "a", "shape": "RAMP", "usecase": "cbr", "duration_ms": 100, "conns": 1, "conns_to": 4},
+			{"name": "b", "shape": "flash", "duration_ms": 100, "conns": 2, "burst_conns": 8,
+			 "faults": [{"at_ms": 50, "backend": 0, "fault": {"error_rate": 0.5, "fail_next": 3}}]},
+			{"shape": "slowloris", "duration_ms": 100, "conns": 2, "background_conns": 1}
+		]}`,
+		`{"phases": [{"shape": "diurnal", "duration_ms": 9, "conns": 1, "conns_to": 3, "invalid_every": 3}]}`,
+		`{"phases": []}`,
+		`{"phases": [{"duration_ms": 1, "conns": 1}], "typo": 1}`,
+	} {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		s, err := ParseSpec(doc)
+		if err != nil {
+			return
+		}
+		first, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("accepted spec does not marshal: %v", err)
+		}
+		back, err := ParseSpec(first)
+		if err != nil {
+			t.Fatalf("re-marshalled spec rejected: %v\n%s", err, first)
+		}
+		second, err := json.Marshal(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("spec changed across a round trip:\n%s\n%s", first, second)
+		}
+	})
 }

@@ -289,3 +289,35 @@ func TestReadSpansJSONLBothShapes(t *testing.T) {
 		t.Fatal("round-tripped spans did not assemble into one trace")
 	}
 }
+
+// FuzzParseHeaderValue feeds arbitrary X-AON-Trace values, as they
+// arrive from the network, to both parsers: neither may panic, they must
+// agree, and an accepted value must be the (case-folded) encoding
+// AppendHeaderValue gives its IDs. Any non-zero trace ID and span ID
+// must survive AppendHeaderValue then ParseHeaderValue.
+func FuzzParseHeaderValue(f *testing.F) {
+	f.Add([]byte("1111111111111111-2222222222222222"), uint64(1), uint64(2))
+	f.Add([]byte("DEADbeef01020304-0000000000000000"), uint64(0xdeadbeef01020304), uint64(0))
+	f.Add([]byte("0000000000000000-1111111111111111"), uint64(0), uint64(7))
+	f.Add([]byte("111111111111111g-2222222222222222"), uint64(1<<63), uint64(1<<63))
+	f.Add([]byte(""), uint64(0), uint64(0))
+	f.Fuzz(func(t *testing.T, v []byte, tr, sp uint64) {
+		gtr, gsp, ok := ParseHeaderValue(v)
+		str, ssp, sok := ParseHeaderValueString(string(v))
+		if ok != sok || gtr != str || gsp != ssp {
+			t.Fatalf("parsers disagree on %q: (%v %v %v) vs (%v %v %v)", v, gtr, gsp, ok, str, ssp, sok)
+		}
+		if ok {
+			if enc := AppendHeaderValue(nil, gtr, gsp); !bytes.Equal(enc, bytes.ToLower(v)) {
+				t.Fatalf("accepted %q re-encodes as %q", v, enc)
+			}
+		}
+		if tr == 0 {
+			return
+		}
+		enc := AppendHeaderValue(nil, ID(tr), ID(sp))
+		if gtr, gsp, ok := ParseHeaderValue(enc); !ok || gtr != ID(tr) || gsp != ID(sp) {
+			t.Fatalf("round trip of %x-%x via %q = %v %v %v", tr, sp, enc, gtr, gsp, ok)
+		}
+	})
+}

@@ -13,7 +13,9 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/dtrace"
 	"repro/internal/gateway"
+	"repro/internal/session"
 	"repro/internal/workload"
 )
 
@@ -25,13 +27,13 @@ type Coordinator struct {
 	nodes []*Node
 
 	merger  *Merger
-	writer  *SessionWriter
+	writer  *session.JSONL[NodeSample] // merged-session.jsonl
 	scraper *scraper
 
 	// traces and traceWriter are the fleet trace plane (nil unless
 	// Config.Trace): cross-node span store + traces.jsonl sink.
 	traces      *TraceStore
-	traceWriter *TraceWriter
+	traceWriter *session.JSONL[dtrace.Span]
 
 	scrapeStop chan struct{}
 	scrapeDone chan struct{}
@@ -111,17 +113,17 @@ func (c *Coordinator) Start() error {
 	if err := os.MkdirAll(c.cfg.OutDir, 0o755); err != nil {
 		return fmt.Errorf("fleet: out dir: %w", err)
 	}
-	writer, err := NewSessionWriter(c.cfg.OutDir)
+	writer, err := session.CreateJSONL[NodeSample](filepath.Join(c.cfg.OutDir, JSONLName))
 	if err != nil {
-		return err
+		return fmt.Errorf("fleet: %w", err)
 	}
 	c.writer = writer
 	c.merger = NewMerger(writer.Write)
 	c.scraper = newScraper(c.merger, c.cfg.ScrapeInterval()*4)
 	if c.cfg.Trace {
-		tw, err := NewTraceWriter(c.cfg.OutDir)
+		tw, err := session.CreateJSONL[dtrace.Span](filepath.Join(c.cfg.OutDir, TracesJSONLName))
 		if err != nil {
-			return err
+			return fmt.Errorf("fleet: %w", err)
 		}
 		c.traceWriter = tw
 		c.traces = NewTraceStore(tw.Write)

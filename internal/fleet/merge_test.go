@@ -113,7 +113,7 @@ func TestMergerDuplicateSuppression(t *testing.T) {
 // covers the interleaving).
 func TestJSONLRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	w, err := NewSessionWriter(dir)
+	w, err := session.CreateJSONL[NodeSample](filepath.Join(dir, JSONLName))
 	if err != nil {
 		t.Fatal(err)
 	}

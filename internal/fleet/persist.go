@@ -18,63 +18,6 @@ const (
 	ReportName    = "fleet-report.txt"
 )
 
-// SessionWriter persists the merged session to disk as it is collected:
-// one JSON line per accepted NodeSample, flushed per sample, so a
-// crashed campaign still leaves the session on disk up to its last
-// scrape.
-type SessionWriter struct {
-	f    *os.File
-	w    *bufio.Writer
-	path string
-	rows int
-}
-
-// NewSessionWriter creates (truncating) <outDir>/merged-session.jsonl.
-func NewSessionWriter(outDir string) (*SessionWriter, error) {
-	path := filepath.Join(outDir, JSONLName)
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: session jsonl: %w", err)
-	}
-	return &SessionWriter{f: f, w: bufio.NewWriter(f), path: path}, nil
-}
-
-// Path is the JSONL file's location.
-func (sw *SessionWriter) Path() string { return sw.path }
-
-// Rows is the number of samples written so far.
-func (sw *SessionWriter) Rows() int { return sw.rows }
-
-// Write appends one sample as a JSON line and flushes it to the OS —
-// the crash-safety contract.
-func (sw *SessionWriter) Write(ns NodeSample) error {
-	b, err := json.Marshal(ns)
-	if err != nil {
-		return fmt.Errorf("fleet: session jsonl: %w", err)
-	}
-	if _, err := sw.w.Write(append(b, '\n')); err != nil {
-		return fmt.Errorf("fleet: session jsonl: %w", err)
-	}
-	if err := sw.w.Flush(); err != nil {
-		return fmt.Errorf("fleet: session jsonl: %w", err)
-	}
-	sw.rows++
-	return nil
-}
-
-// Close flushes and closes the JSONL file.
-func (sw *SessionWriter) Close() error {
-	if sw.f == nil {
-		return nil
-	}
-	err := sw.w.Flush()
-	if cerr := sw.f.Close(); err == nil {
-		err = cerr
-	}
-	sw.f = nil
-	return err
-}
-
 // ReadJSONL loads a persisted merged session back — the round-trip half
 // of the format, used by tests and by offline report tooling.
 func ReadJSONL(path string) ([]NodeSample, error) {

@@ -28,17 +28,8 @@ type scraper struct {
 	traces *TraceStore
 
 	mu       sync.Mutex
-	prev     map[string]prevCounters // node key → last cumulative view
-	noTraces map[string]bool         // node key → /traces answered 404 (tracing off)
-}
-
-// prevCounters is the previous cumulative observation for delta-based
-// sample synthesis.
-type prevCounters struct {
-	tms      int64
-	messages uint64
-	bytesIn  uint64
-	shed     uint64
+	windows  map[string]*session.Windower // node key → /stats delta state
+	noTraces map[string]bool              // node key → /traces answered 404 (tracing off)
 }
 
 func newScraper(merger *Merger, timeout time.Duration) *scraper {
@@ -48,7 +39,7 @@ func newScraper(merger *Merger, timeout time.Duration) *scraper {
 	return &scraper{
 		client:   &http.Client{Timeout: timeout},
 		merger:   merger,
-		prev:     map[string]prevCounters{},
+		windows:  map[string]*session.Windower{},
 		noTraces: map[string]bool{},
 	}
 }
@@ -172,22 +163,10 @@ func (sc *scraper) scrapeGateway(n *Node) error {
 	if err := sc.getJSON(n.Addr, "/stats", &snap); err != nil {
 		return err
 	}
-	// Uptime is the gateway's own monotonic axis: immune to wall-clock
-	// skew and steps, which is exactly what cross-node alignment needs.
-	tms := int64(snap.UptimeSec * 1000)
-	s := session.Sample{
-		TMS:          tms,
-		LatencyP50US: snap.Latency.P50US,
-		LatencyP99US: snap.Latency.P99US,
-	}
-	if c := snap.Counters; c != nil {
-		s.CPI = c.Derived.CPI
-		s.CacheMPI = c.Derived.CacheMPI
-		s.BrMPR = c.Derived.BrMPR
-		s.DerivedSource = c.DerivedSource
-		s.Goroutines = c.Runtime.Goroutines
-	}
-	sc.addDelta(n, s, snap.Messages, snap.BytesIn, snap.Shed)
+	sc.mu.Lock()
+	s := snap.Sample(sc.window(n))
+	sc.mu.Unlock()
+	sc.merger.Add(n.Key(), n.Role, s)
 	return nil
 }
 
@@ -204,35 +183,23 @@ func (sc *scraper) scrapeBackend(n *Node) error {
 		LatencyP50US: bs.Latency.P50US,
 		LatencyP99US: bs.Latency.P99US,
 	}
-	sc.addDelta(n, s, bs.Requests, bs.BytesIn, bs.Dropped)
+	sc.mu.Lock()
+	sc.window(n).Window(&s, bs.Requests, bs.BytesIn, bs.Dropped)
+	sc.mu.Unlock()
+	sc.merger.Add(n.Key(), n.Role, s)
 	return nil
 }
 
-// addDelta completes a synthesized sample with windowed deltas against
-// the node's previous cumulative view and feeds it to the merger. The
-// first observation primes the window state and lands as a zero-window
-// sample — it pins the node's epoch in the merged session.
-func (sc *scraper) addDelta(n *Node, s session.Sample, messages, bytesIn, shed uint64) {
-	sc.mu.Lock()
-	key := n.Key()
-	if p, ok := sc.prev[key]; ok && s.TMS > p.tms {
-		s.WindowSec = float64(s.TMS-p.tms) / 1000
-		if messages >= p.messages {
-			s.Messages = messages - p.messages
-		}
-		if bytesIn >= p.bytesIn {
-			s.BytesIn = bytesIn - p.bytesIn
-		}
-		if shed >= p.shed {
-			s.Shed = shed - p.shed
-		}
-		if s.WindowSec > 0 {
-			s.MsgsPerSec = float64(s.Messages) / s.WindowSec
-		}
+// window returns the node's /stats delta state; the first observation
+// lands as a zero-window sample that pins the node's epoch in the merged
+// session. Callers hold sc.mu.
+func (sc *scraper) window(n *Node) *session.Windower {
+	w := sc.windows[n.Key()]
+	if w == nil {
+		w = new(session.Windower)
+		sc.windows[n.Key()] = w
 	}
-	sc.prev[key] = prevCounters{tms: s.TMS, messages: messages, bytesIn: bytesIn, shed: shed}
-	sc.mu.Unlock()
-	sc.merger.Add(key, n.Role, s)
+	return w
 }
 
 // gatewaySnapshot fetches a gateway's full /stats view — the report

@@ -150,6 +150,28 @@ func (s *Server) takeSample(tl *timelineState) session.Sample {
 	return smp
 }
 
+// Sample flattens a scraped /stats snapshot into a session sample on the
+// gateway's own monotonic axis, its uptime (immune to wall-clock skew
+// and steps, which is what cross-node alignment needs), with w supplying
+// the windowed deltas of the cumulative counters. The campaign sampler
+// and the fleet's /stats fallback both build their timelines with it.
+func (snap *Snapshot) Sample(w *session.Windower) session.Sample {
+	s := session.Sample{
+		TMS:          int64(snap.UptimeSec * 1000),
+		LatencyP50US: snap.Latency.P50US,
+		LatencyP99US: snap.Latency.P99US,
+	}
+	if c := snap.Counters; c != nil {
+		s.CPI = c.Derived.CPI
+		s.CacheMPI = c.Derived.CacheMPI
+		s.BrMPR = c.Derived.BrMPR
+		s.DerivedSource = c.DerivedSource
+		s.Goroutines = c.Runtime.Goroutines
+	}
+	w.Window(&s, snap.Messages, snap.BytesIn, snap.Shed)
+	return s
+}
+
 // closeTimeline stops the sampling session and joins its goroutines.
 // The flusher stops first, then the sampler, then one final flush — so
 // the persisted artifact carries the session's last samples.

@@ -73,6 +73,38 @@ type Sample struct {
 	UpstreamHealthy int `json:"upstream_healthy,omitempty"`
 }
 
+// Windower turns one node's cumulative counters into the windowed
+// Sample fields by differencing each observation against the previous
+// one on the node's own monotonic axis (Sample.TMS). The zero value is
+// ready. The first observation only primes it, so its sample carries a
+// zero window; a counter that went backwards (a restarted node) leaves
+// its delta zero.
+type Windower struct {
+	tms                     int64
+	messages, bytesIn, shed uint64
+	primed                  bool
+}
+
+// Window fills s's WindowSec, Messages, BytesIn, Shed and MsgsPerSec
+// from the cumulative counters read at s.TMS, then remembers them.
+func (w *Windower) Window(s *Sample, messages, bytesIn, shed uint64) {
+	if w.primed && s.TMS > w.tms {
+		s.WindowSec = float64(s.TMS-w.tms) / 1000
+		if messages >= w.messages {
+			s.Messages = messages - w.messages
+		}
+		if bytesIn >= w.bytesIn {
+			s.BytesIn = bytesIn - w.bytesIn
+		}
+		if shed >= w.shed {
+			s.Shed = shed - w.shed
+		}
+		s.MsgsPerSec = float64(s.Messages) / s.WindowSec
+	}
+	w.tms, w.messages, w.bytesIn, w.shed = s.TMS, messages, bytesIn, shed
+	w.primed = true
+}
+
 // Ring is the bounded sample buffer: the newest Capacity samples win,
 // older ones fall off. Safe for concurrent Add and Last.
 type Ring struct {
