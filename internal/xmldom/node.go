@@ -124,8 +124,16 @@ func (n *Node) FirstChildElement(local string) *Node {
 }
 
 // TextContent concatenates all descendant text, the XPath string-value of
-// an element.
+// an element. A text node, or an element whose only child is a text node,
+// returns that node's Data itself rather than a copy (for a tree from a
+// StreamParser, a view into the parsed buffer).
 func (n *Node) TextContent() string {
+	if n.Kind == Text {
+		return n.Data
+	}
+	if len(n.Children) == 1 && n.Children[0].Kind == Text {
+		return n.Children[0].Data
+	}
 	var b strings.Builder
 	n.appendText(&b)
 	return b.String()

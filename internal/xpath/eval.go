@@ -3,6 +3,7 @@ package xpath
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/perf/trace"
@@ -71,10 +72,20 @@ type evalCtx struct {
 	size int // last()
 }
 
-// attrNode materializes attributes as transient text-like nodes so they
-// can live in node-sets. Parent links identify the owner.
+// attrValueNode materializes an attribute as a transient text-like node so
+// it can live in a node-set: Parent is the owner element, Name the
+// attribute name. A Text node with a Name is an attribute node (parsed
+// text nodes have none). Each evaluation mints fresh nodes, so an
+// attribute's identity is owner + name (sameNode), not the pointer.
 func attrValueNode(owner *xmldom.Node, a xmldom.Attr) *xmldom.Node {
 	return &xmldom.Node{Kind: xmldom.Text, Name: a.Name, Data: a.Value, Parent: owner, SimAddr: owner.SimAddr}
+}
+
+func isAttrNode(n *xmldom.Node) bool { return n.Kind == xmldom.Text && n.Name != "" }
+
+// sameNode reports whether a and b are the same node of the document.
+func sameNode(a, b *xmldom.Node) bool {
+	return a == b || (isAttrNode(a) && isAttrNode(b) && a.Parent == b.Parent && a.Name == b.Name)
 }
 
 func (ev *Evaluator) eval(n node, c *evalCtx) (Value, error) {
@@ -104,7 +115,8 @@ func (ev *Evaluator) eval(n node, c *evalCtx) (Value, error) {
 		if !l.IsNodeSet() || !r.IsNodeSet() {
 			return Value{}, fmt.Errorf("xpath: union of non-node-sets")
 		}
-		return NodeSetValue(unionDocOrder(l.Nodes, r.Nodes)), nil
+		ns := make([]*xmldom.Node, 0, len(l.Nodes)+len(r.Nodes))
+		return NodeSetValue(docOrder(append(append(ns, l.Nodes...), r.Nodes...))), nil
 	case *pathExpr:
 		ns, err := ev.evalPath(x, c)
 		if err != nil {
@@ -197,52 +209,80 @@ func (ev *Evaluator) evalFilter(x *filterExpr, c *evalCtx) (Value, error) {
 			if err != nil {
 				return Value{}, err
 			}
-			out = unionDocOrder(out, sub)
+			out = append(out, sub...)
 		}
-		ns = out
+		ns = docOrder(out)
 	}
 	return NodeSetValue(ns), nil
 }
 
-// evalPath runs a location path from the context node.
+// evalPath runs a location path from the context node. Every node-set
+// passed between steps is in document order without duplicates. A step
+// appends each context's matches to one slice; that slice is sorted and
+// deduplicated only when the step cannot be shown to keep the order:
+//
+//   - self and attribute keep any ordered set ordered (an attribute
+//     sorts after its owner and before the owner's children);
+//   - child and descendant-or-self keep it ordered when no context is an
+//     ancestor of another ("flat"), which holds for a single context and
+//     is passed on by child, self and attribute steps;
+//   - parent keeps it ordered only from a single context.
+//
+// The micro-ops emitted per context are those of the naive walk: the
+// axis traversal, then one node test per candidate, then the predicates.
 func (ev *Evaluator) evalPath(p *pathExpr, c *evalCtx) ([]*xmldom.Node, error) {
 	start := c.node
 	if p.absolute {
 		start = c.node.Root()
 	}
 	current := []*xmldom.Node{start}
+	var spare []*xmldom.Node // the set before current, whose array the next step reuses
+	flat := true
 	for _, st := range p.steps {
-		var next []*xmldom.Node
+		if len(current) <= 1 {
+			flat = true
+		}
+		next := spare[:0]
 		for _, n := range current {
-			cands := ev.axisNodes(st, n)
-			matched := cands[:0:0]
-			size := 0
-			for _, cand := range cands {
-				if ev.nodeTest(st, cand) {
-					size++
-					matched = append(matched, cand)
-				}
-			}
+			from := len(next)
+			next = ev.appendMatches(next, st, n)
 			// Predicates with position semantics relative to this
 			// context node's matched candidates.
 			for _, pred := range st.preds {
-				var err error
-				matched, err = ev.filterPred(matched, pred)
+				kept, err := ev.filterPred(next[from:], pred)
 				if err != nil {
 					return nil, err
 				}
+				next = next[:from+len(kept)]
 			}
-			next = unionDocOrder(next, matched)
 		}
-		current = next
+		var ordered bool
+		switch st.ax {
+		case axisSelf:
+			ordered = true
+		case axisAttribute:
+			ordered, flat = true, true
+		case axisChild:
+			ordered = flat
+		case axisDescendantOrSelf:
+			ordered, flat = flat, false
+		case axisParent:
+			ordered = len(current) <= 1
+		}
+		if !ordered {
+			next, flat = docOrder(next), false
+		}
+		spare, current = current[:0], next
 	}
 	return current, nil
 }
 
+// filterPred keeps the nodes of ns the predicate selects, compacting ns in
+// place (node-sets are owned by the expression that built them).
 func (ev *Evaluator) filterPred(ns []*xmldom.Node, pred node) ([]*xmldom.Node, error) {
-	var out []*xmldom.Node
+	size, k := len(ns), 0
 	for i, n := range ns {
-		v, err := ev.eval(pred, &evalCtx{node: n, pos: i + 1, size: len(ns)})
+		v, err := ev.eval(pred, &evalCtx{node: n, pos: i + 1, size: size})
 		if err != nil {
 			return nil, err
 		}
@@ -255,45 +295,66 @@ func (ev *Evaluator) filterPred(ns []*xmldom.Node, pred node) ([]*xmldom.Node, e
 		ev.em.ALU(2)
 		ev.em.Branch(pcPredTest, keep)
 		if keep {
-			out = append(out, n)
+			ns[k] = n
+			k++
 		}
 	}
-	return out, nil
+	return ns[:k], nil
 }
 
-// axisNodes collects the candidate nodes along a step's axis, emitting the
-// traversal's pointer-chasing loads.
-func (ev *Evaluator) axisNodes(st *step, n *xmldom.Node) []*xmldom.Node {
+// appendMatches appends to dst the nodes along st's axis from n that pass
+// st's node test, in axis order, emitting the traversal's pointer-chasing
+// loads and then one node test per candidate.
+func (ev *Evaluator) appendMatches(dst []*xmldom.Node, st *step, n *xmldom.Node) []*xmldom.Node {
 	switch st.ax {
 	case axisSelf:
 		ev.visit(n)
-		return []*xmldom.Node{n}
+		if ev.nodeTest(st, n) {
+			dst = append(dst, n)
+		}
 	case axisParent:
 		ev.visit(n)
-		if n.Parent == nil {
-			return nil
+		if n.Parent != nil && ev.nodeTest(st, n.Parent) {
+			dst = append(dst, n.Parent)
 		}
-		return []*xmldom.Node{n.Parent}
 	case axisChild:
 		ev.visit(n)
-		return n.Children
+		for _, c := range n.Children {
+			if ev.nodeTest(st, c) {
+				dst = append(dst, c)
+			}
+		}
 	case axisAttribute:
 		ev.visit(n)
-		out := make([]*xmldom.Node, 0, len(n.Attrs))
 		for _, a := range n.Attrs {
-			out = append(out, attrValueNode(n, a))
+			if ev.nodeTest(st, &xmldom.Node{Kind: xmldom.Text, Name: a.Name, SimAddr: n.SimAddr}) {
+				dst = append(dst, attrValueNode(n, a))
+			}
 		}
-		return out
 	case axisDescendantOrSelf:
-		var out []*xmldom.Node
-		n.Walk(func(d *xmldom.Node) bool {
-			ev.visit(d)
-			out = append(out, d)
-			return true
-		})
-		return out
+		from := len(dst)
+		dst = ev.appendSubtree(dst, n)
+		k := from
+		for _, d := range dst[from:] {
+			if ev.nodeTest(st, d) {
+				dst[k] = d
+				k++
+			}
+		}
+		dst = dst[:k]
 	}
-	return nil
+	return dst
+}
+
+// appendSubtree appends n and its descendants in document order, visiting
+// each.
+func (ev *Evaluator) appendSubtree(dst []*xmldom.Node, n *xmldom.Node) []*xmldom.Node {
+	ev.visit(n)
+	dst = append(dst, n)
+	for _, c := range n.Children {
+		dst = ev.appendSubtree(dst, c)
+	}
+	return dst
 }
 
 // visit charges the cost of touching one tree node: pointer-chasing loads
@@ -338,48 +399,94 @@ func (ev *Evaluator) nodeTest(st *step, n *xmldom.Node) bool {
 	return false
 }
 
-// unionDocOrder merges two node-sets preserving document order without
-// duplicates. Node identity is pointer identity.
-func unionDocOrder(a, b []*xmldom.Node) []*xmldom.Node {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	seen := make(map[*xmldom.Node]bool, len(a)+len(b))
-	var out []*xmldom.Node
-	for _, n := range a {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
+// docOrder puts a node-set into document order without duplicates, in
+// place. Sets that are already ordered (the common case) cost one
+// comparison per adjacent pair.
+func docOrder(ns []*xmldom.Node) []*xmldom.Node {
+	for i := 1; i < len(ns); i++ {
+		if docCompare(ns[i-1], ns[i]) >= 0 {
+			slices.SortFunc(ns, docCompare)
+			return slices.CompactFunc(ns, sameNode)
 		}
 	}
-	for _, n := range b {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	// Document order: index nodes by a walk from the common root.
-	order := make(map[*xmldom.Node]int, len(out))
-	i := 0
-	out[0].Root().Walk(func(n *xmldom.Node) bool {
-		order[n] = i
-		i++
-		return true
-	})
-	sortByOrder(out, order)
-	return out
+	return ns
 }
 
-func sortByOrder(ns []*xmldom.Node, order map[*xmldom.Node]int) {
-	// Insertion sort: node-sets here are small and nearly ordered.
-	for i := 1; i < len(ns); i++ {
-		for j := i; j > 0 && order[ns[j]] < order[ns[j-1]]; j-- {
-			ns[j], ns[j-1] = ns[j-1], ns[j]
+// docCompare orders two nodes of one document: negative when a precedes
+// b, positive when it follows, zero for the same node. An attribute node
+// follows its owner and precedes the owner's children; attributes of one
+// owner keep their written order. It walks the Parent links and scans one
+// sibling list, without allocating.
+func docCompare(a, b *xmldom.Node) int {
+	if sameNode(a, b) {
+		return 0
+	}
+	ea, eb := a, b
+	if isAttrNode(a) {
+		ea = a.Parent
+	}
+	if isAttrNode(b) {
+		eb = b.Parent
+	}
+	if ea != eb {
+		return treeCompare(ea, eb)
+	}
+	switch {
+	case !isAttrNode(a): // a is b's owner
+		return -1
+	case !isAttrNode(b):
+		return 1
+	}
+	return attrIndex(ea, a.Name) - attrIndex(ea, b.Name)
+}
+
+// treeCompare orders two distinct tree nodes: an ancestor precedes its
+// descendants, and otherwise the children of the nodes' lowest common
+// ancestor decide. Nodes of different trees compare equal.
+func treeCompare(a, b *xmldom.Node) int {
+	da, db := depth(a), depth(b)
+	for ; da > db; da-- {
+		if a = a.Parent; a == b {
+			return 1
 		}
 	}
+	for ; db > da; db-- {
+		if b = b.Parent; b == a {
+			return -1
+		}
+	}
+	for a.Parent != b.Parent {
+		a, b = a.Parent, b.Parent
+	}
+	if a.Parent == nil {
+		return 0
+	}
+	for _, c := range a.Parent.Children {
+		switch c {
+		case a:
+			return -1
+		case b:
+			return 1
+		}
+	}
+	return 0
+}
+
+func depth(n *xmldom.Node) int {
+	d := 0
+	for ; n.Parent != nil; n = n.Parent {
+		d++
+	}
+	return d
+}
+
+func attrIndex(owner *xmldom.Node, name string) int {
+	for i, a := range owner.Attrs {
+		if a.Name == name {
+			return i
+		}
+	}
+	return len(owner.Attrs)
 }
 
 // evalCall dispatches the XPath core function library.

@@ -29,7 +29,9 @@ type Validator struct {
 	s  *Schema
 	em trace.Emitter
 
-	errs []*ValidationError
+	errs    []*ValidationError
+	root    *xmldom.Node // element the current Validate started at; paths are relative to it
+	probing int          // depth of speculative matching; errors found there are dropped
 }
 
 var (
@@ -66,17 +68,18 @@ func (v *Validator) Validate(doc *xmldom.Node) []*ValidationError {
 	if doc.Kind == xmldom.Document {
 		root = doc.DocumentElement()
 	}
+	v.root = root
 	if root == nil {
-		v.fail("/", "empty document")
+		v.fail(nil, "", "empty document")
 		return v.errs
 	}
 	decl := v.s.Elements[root.Local]
 	v.emitNameLookup(root.Local, decl != nil)
 	if decl == nil {
-		v.fail("/"+root.Local, "no global declaration for element")
+		v.fail(root, "", "no global declaration for element")
 		return v.errs
 	}
-	v.validateElement(decl, root, "/"+root.Local)
+	v.validateElement(decl, root)
 	return v.errs
 }
 
@@ -85,49 +88,107 @@ func (v *Validator) Valid(doc *xmldom.Node) bool {
 	return len(v.Validate(doc)) == 0
 }
 
-func (v *Validator) fail(path, format string, args ...any) {
-	v.errs = append(v.errs, &ValidationError{Path: path, Msg: fmt.Sprintf(format, args...)})
+// fail records a violation at element el (nil: the document), or at its
+// attribute attr when attr is non-empty. The error's path is only built
+// here, and not at all while probing.
+func (v *Validator) fail(el *xmldom.Node, attr, format string, args ...any) {
+	if v.probing > 0 {
+		return
+	}
+	v.errs = append(v.errs, &ValidationError{Path: v.pathOf(el, attr), Msg: fmt.Sprintf(format, args...)})
 }
 
-// probe runs fn speculatively: errors recorded inside are discarded and no
-// micro-ops are emitted. Deterministic XSD content models make lookahead
-// cheap; the compiled validator's dispatch cost is modeled by the loud
-// branch the caller emits on the probe's verdict.
-func (v *Validator) probe(fn func() int) int {
-	savedEm := v.em
-	savedLen := len(v.errs)
-	v.em = trace.Nop{}
-	n := fn()
-	v.em = savedEm
-	v.errs = v.errs[:savedLen]
+// pathOf renders el's path from the validation root, /root/child/...,
+// with /@attr appended for an attribute.
+func (v *Validator) pathOf(el *xmldom.Node, attr string) string {
+	if el == nil {
+		return "/"
+	}
+	var names []string
+	for n := el; ; n = n.Parent {
+		names = append(names, n.Local)
+		if n == v.root || n.Parent == nil {
+			break
+		}
+	}
+	var b strings.Builder
+	for i := len(names) - 1; i >= 0; i-- {
+		b.WriteByte('/')
+		b.WriteString(names[i])
+	}
+	if attr != "" {
+		b.WriteString("/@")
+		b.WriteString(attr)
+	}
+	return b.String()
+}
+
+// probeParticle and probeOnce run a match speculatively: no micro-ops are
+// emitted and no errors recorded. Deterministic XSD content models make
+// lookahead cheap; the compiled validator's dispatch cost is modeled by
+// the loud branch the caller emits on the probe's verdict.
+func (v *Validator) probeParticle(p *Particle, el *xmldom.Node, pos int) int {
+	em := v.quiet()
+	n := v.matchParticle(p, el, pos)
+	v.loud(em)
 	return n
 }
 
-func (v *Validator) probeParticle(p *Particle, kids []*xmldom.Node, pos int, path string) int {
-	return v.probe(func() int { return v.matchParticle(p, kids, pos, path) })
+func (v *Validator) probeOnce(p *Particle, el *xmldom.Node, pos int) int {
+	em := v.quiet()
+	n := v.matchOnce(p, el, pos, false)
+	v.loud(em)
+	return n
 }
 
-func (v *Validator) probeOnce(p *Particle, kids []*xmldom.Node, pos int, path string) int {
-	return v.probe(func() int { return v.matchOnce(p, kids, pos, path, false) })
+func (v *Validator) quiet() trace.Emitter {
+	em := v.em
+	v.em = trace.Nop{}
+	v.probing++
+	return em
 }
 
-func (v *Validator) validateElement(decl *ElementDecl, el *xmldom.Node, path string) {
+func (v *Validator) loud(em trace.Emitter) {
+	v.em = em
+	v.probing--
+}
+
+// The content-model matchers walk an element's Children in place: a
+// position is an index into that slice, and a match consumes the next
+// element child at or after it. Matchers return either the position they
+// were given (nothing consumed) or one past the last element consumed, so
+// comparing positions tells whether anything matched.
+
+// nextElem returns the index of the first element child at or after pos,
+// or len(kids).
+func nextElem(kids []*xmldom.Node, pos int) int {
+	for pos < len(kids) && kids[pos].Kind != xmldom.Element {
+		pos++
+	}
+	return pos
+}
+
+func (v *Validator) validateElement(decl *ElementDecl, el *xmldom.Node) {
+	if v.probing > 0 {
+		// A probe's verdict depends only on the children's names; what
+		// the element's own content would record or emit is dropped.
+		return
+	}
 	v.em.Load(el.SimAddr, 3)
 	v.em.ALU(40) // declaration lookup, occurrence bookkeeping
 	switch {
 	case decl.Type != nil:
-		v.validateComplex(decl.Type, el, path)
+		v.validateComplex(decl.Type, el)
 	case decl.Simple != nil:
-		text := el.TextContent()
-		if kids := el.ChildElements(""); len(kids) > 0 {
-			v.fail(path, "element children not allowed in simple type %s", decl.Simple.Base)
+		if el.FirstChildElement("") != nil {
+			v.fail(el, "", "element children not allowed in simple type %s", decl.Simple.Base)
 			return
 		}
-		v.checkSimple(decl.Simple, text, path)
+		v.checkSimple(decl.Simple, el.TextContent(), el, "")
 	}
 }
 
-func (v *Validator) validateComplex(ct *ComplexType, el *xmldom.Node, path string) {
+func (v *Validator) validateComplex(ct *ComplexType, el *xmldom.Node) {
 	// Attributes.
 	for _, ad := range ct.Attrs {
 		val, present := el.Attr(ad.Name)
@@ -135,11 +196,11 @@ func (v *Validator) validateComplex(ct *ComplexType, el *xmldom.Node, path strin
 		v.em.Branch(pcAttrReq, present)
 		if !present {
 			if ad.Required {
-				v.fail(path, "missing required attribute %q", ad.Name)
+				v.fail(el, "", "missing required attribute %q", ad.Name)
 			}
 			continue
 		}
-		v.checkSimple(ad.Type, val, path+"/@"+ad.Name)
+		v.checkSimple(ad.Type, val, el, ad.Name)
 	}
 	// Unexpected attributes (xmlns declarations are tolerated).
 	for _, a := range el.Attrs {
@@ -155,20 +216,20 @@ func (v *Validator) validateComplex(ct *ComplexType, el *xmldom.Node, path strin
 		}
 		v.em.Branch(pcAttrReq, known)
 		if !known {
-			v.fail(path, "undeclared attribute %q", a.Name)
+			v.fail(el, "", "undeclared attribute %q", a.Name)
 		}
 	}
 
-	kids := el.ChildElements("")
+	kids := el.Children
 	// Non-whitespace text inside element-only content.
 	if !ct.Mixed {
-		for _, c := range el.Children {
+		for _, c := range kids {
 			if c.Kind == xmldom.Text {
 				ws := strings.TrimSpace(c.Data) == ""
 				v.emitCharScan(c.Data)
 				v.em.Branch(pcMixed, ws)
 				if !ws {
-					v.fail(path, "character content not allowed in element-only type")
+					v.fail(el, "", "character content not allowed in element-only type")
 					break
 				}
 			}
@@ -176,26 +237,25 @@ func (v *Validator) validateComplex(ct *ComplexType, el *xmldom.Node, path strin
 	}
 
 	if ct.Content == nil {
-		if len(kids) > 0 && !ct.Mixed {
-			v.fail(path, "no children allowed, found <%s>", kids[0].Local)
+		if first := el.FirstChildElement(""); first != nil && !ct.Mixed {
+			v.fail(el, "", "no children allowed, found <%s>", first.Local)
 		}
 		return
 	}
 
-	pos := 0
-	n := v.matchParticle(ct.Content, kids, 0, path)
-	if n < 0 {
+	pos := v.matchParticle(ct.Content, el, 0)
+	if pos < 0 {
 		return // error already recorded
 	}
-	pos = n
-	if pos < len(kids) {
-		v.fail(path, "unexpected element <%s>", kids[pos].Local)
+	if pos = nextElem(kids, pos); pos < len(kids) {
+		v.fail(el, "", "unexpected element <%s>", kids[pos].Local)
 	}
 }
 
-// matchParticle consumes children of kids starting at pos according to the
-// particle, returning the new position or -1 after recording an error.
-func (v *Validator) matchParticle(p *Particle, kids []*xmldom.Node, pos int, path string) int {
+// matchParticle consumes element children of el starting at pos
+// according to the particle, returning the new position or -1 after
+// recording an error.
+func (v *Validator) matchParticle(p *Particle, el *xmldom.Node, pos int) int {
 	occurs := 0
 	for {
 		v.em.ALU(3)
@@ -203,12 +263,12 @@ func (v *Validator) matchParticle(p *Particle, kids []*xmldom.Node, pos int, pat
 		if !required {
 			// Optional occurrence: look ahead quietly so a non-match
 			// leaves no spurious errors.
-			if v.probeOnce(p, kids, pos, path) < 0 {
+			if v.probeOnce(p, el, pos) < 0 {
 				v.em.Branch(pcOccurs, false)
 				return pos
 			}
 		}
-		next := v.matchOnce(p, kids, pos, path, required)
+		next := v.matchOnce(p, el, pos, required)
 		progressed := next > pos
 		v.em.Branch(pcOccurs, progressed)
 		if next < 0 {
@@ -220,10 +280,6 @@ func (v *Validator) matchParticle(p *Particle, kids []*xmldom.Node, pos int, pat
 		if !progressed && p.Kind != PElement {
 			// Group matched emptily (all-optional children): count one
 			// occurrence and stop to avoid spinning.
-			occurs++
-			if occurs >= p.MinOccurs {
-				return next
-			}
 			return next
 		}
 		pos = next
@@ -231,9 +287,9 @@ func (v *Validator) matchParticle(p *Particle, kids []*xmldom.Node, pos int, pat
 		if p.MaxOccurs >= 0 && occurs >= p.MaxOccurs {
 			return pos
 		}
-		if pos >= len(kids) {
+		if nextElem(el.Children, pos) >= len(el.Children) {
 			if occurs < p.MinOccurs {
-				v.fail(path, "%s requires at least %d occurrences, found %d", p.Kind, p.MinOccurs, occurs)
+				v.fail(el, "", "%s requires at least %d occurrences, found %d", p.Kind, p.MinOccurs, occurs)
 				return -1
 			}
 			return pos
@@ -244,36 +300,35 @@ func (v *Validator) matchParticle(p *Particle, kids []*xmldom.Node, pos int, pat
 // matchOnce tries to match one occurrence of p at pos. Returns the new
 // position, or -1 if it does not match (recording an error only when
 // required is true).
-func (v *Validator) matchOnce(p *Particle, kids []*xmldom.Node, pos int, path string, required bool) int {
+func (v *Validator) matchOnce(p *Particle, el *xmldom.Node, pos int, required bool) int {
+	kids := el.Children
 	switch p.Kind {
 	case PElement:
-		if pos >= len(kids) {
+		at := nextElem(kids, pos)
+		if at >= len(kids) {
 			if required {
-				v.fail(path, "missing required element <%s>", p.Elem.Name)
+				v.fail(el, "", "missing required element <%s>", p.Elem.Name)
 			}
 			return -1
 		}
-		match := kids[pos].Local == p.Elem.Name
-		v.emitNameCompare(kids[pos].Local, p.Elem.Name, match)
+		kid := kids[at]
+		match := kid.Local == p.Elem.Name
+		v.emitNameCompare(kid.Local, p.Elem.Name, match)
 		if !match {
 			if required {
-				v.fail(path, "expected <%s>, found <%s>", p.Elem.Name, kids[pos].Local)
+				v.fail(el, "", "expected <%s>, found <%s>", p.Elem.Name, kid.Local)
 			}
 			return -1
 		}
-		v.validateElement(p.Elem, kids[pos], path+"/"+kids[pos].Local)
-		return pos + 1
+		v.validateElement(p.Elem, kid)
+		return at + 1
 	case PSequence:
 		cur := pos
 		for _, c := range p.Children {
-			next := v.matchParticle(c, kids, cur, path)
+			next := v.matchParticle(c, el, cur)
 			if next < 0 {
-				if required {
-					return -1
-				}
-				// Distinguish "matched nothing at all" from a partial
-				// match: a partial match of a required sequence is an
-				// error either way; we already recorded it.
+				// A partial match of a sequence is an error whether or
+				// not the sequence was required; it is already recorded.
 				return -1
 			}
 			cur = next
@@ -281,38 +336,43 @@ func (v *Validator) matchOnce(p *Particle, kids []*xmldom.Node, pos int, path st
 		return cur
 	case PChoice:
 		for _, c := range p.Children {
-			n := v.probeParticle(c, kids, pos, path)
+			n := v.probeParticle(c, el, pos)
 			ok := n > pos
 			v.em.Branch(pcChoice, ok)
 			if ok {
-				return v.matchParticle(c, kids, pos, path)
+				return v.matchParticle(c, el, pos)
 			}
 		}
 		// Allow an all-optional branch to satisfy the choice emptily.
 		for _, c := range p.Children {
-			if v.probeParticle(c, kids, pos, path) == pos {
+			if v.probeParticle(c, el, pos) == pos {
 				return pos
 			}
 		}
 		if required {
-			v.fail(path, "no branch of choice matched at <%s>", kidName(kids, pos))
+			v.fail(el, "", "no branch of choice matched at <%s>", kidName(kids, pos))
 		}
 		return -1
 	case PAll:
 		used := make([]bool, len(p.Children))
 		cur := pos
-		for cur < len(kids) {
+		for {
+			at := nextElem(kids, cur)
+			if at >= len(kids) {
+				break
+			}
+			kid := kids[at]
 			matched := false
 			for i, c := range p.Children {
 				if used[i] || c.Kind != PElement {
 					continue
 				}
-				ok := kids[cur].Local == c.Elem.Name
-				v.emitNameCompare(kids[cur].Local, c.Elem.Name, ok)
+				ok := kid.Local == c.Elem.Name
+				v.emitNameCompare(kid.Local, c.Elem.Name, ok)
 				if ok {
-					v.validateElement(c.Elem, kids[cur], path+"/"+kids[cur].Local)
+					v.validateElement(c.Elem, kid)
 					used[i] = true
-					cur++
+					cur = at + 1
 					matched = true
 					break
 				}
@@ -324,8 +384,7 @@ func (v *Validator) matchOnce(p *Particle, kids []*xmldom.Node, pos int, path st
 		for i, c := range p.Children {
 			if !used[i] && c.MinOccurs > 0 {
 				if required {
-					v.fail(path, "missing required element <%s> in all-group", c.Elem.Name)
-					return -1
+					v.fail(el, "", "missing required element <%s> in all-group", c.Elem.Name)
 				}
 				return -1
 			}
@@ -335,18 +394,17 @@ func (v *Validator) matchOnce(p *Particle, kids []*xmldom.Node, pos int, path st
 	return -1
 }
 
-func minOccursOf(p *Particle) int { return p.MinOccurs }
-
 func kidName(kids []*xmldom.Node, pos int) string {
-	if pos < len(kids) {
+	if pos = nextElem(kids, pos); pos < len(kids) {
 		return kids[pos].Local
 	}
 	return "(end)"
 }
 
-// checkSimple validates text against a simple type, scanning the
-// characters the way a compiled validator would.
-func (v *Validator) checkSimple(st *SimpleType, text, path string) {
+// checkSimple validates text, the content of el or of its attribute attr
+// (when non-empty), against a simple type, scanning the characters the way
+// a compiled validator would.
+func (v *Validator) checkSimple(st *SimpleType, text string, el *xmldom.Node, attr string) {
 	v.emitCharScan(text)
 	val := strings.TrimSpace(text)
 	switch st.Base {
@@ -354,36 +412,36 @@ func (v *Validator) checkSimple(st *SimpleType, text, path string) {
 		// always lexically valid
 	case TToken:
 		if val != strings.Join(strings.Fields(val), " ") {
-			v.fail(path, "not a valid token: %q", text)
+			v.fail(el, attr, "not a valid token: %q", text)
 		}
 	case TInt:
 		if _, err := strconv.ParseInt(val, 10, 64); err != nil {
-			v.fail(path, "not a valid integer: %q", val)
+			v.fail(el, attr, "not a valid integer: %q", val)
 			v.em.Branch(pcFacet, false)
 			return
 		}
 	case TPositiveInt:
 		n, err := strconv.ParseInt(val, 10, 64)
 		if err != nil || n <= 0 {
-			v.fail(path, "not a positive integer: %q", val)
+			v.fail(el, attr, "not a positive integer: %q", val)
 			v.em.Branch(pcFacet, false)
 			return
 		}
 	case TDecimal:
 		if _, err := strconv.ParseFloat(val, 64); err != nil {
-			v.fail(path, "not a valid decimal: %q", val)
+			v.fail(el, attr, "not a valid decimal: %q", val)
 			v.em.Branch(pcFacet, false)
 			return
 		}
 	case TBoolean:
 		if val != "true" && val != "false" && val != "0" && val != "1" {
-			v.fail(path, "not a valid boolean: %q", val)
+			v.fail(el, attr, "not a valid boolean: %q", val)
 			v.em.Branch(pcFacet, false)
 			return
 		}
 	case TDate:
 		if !isDate(val) {
-			v.fail(path, "not a valid date: %q", val)
+			v.fail(el, attr, "not a valid date: %q", val)
 			v.em.Branch(pcFacet, false)
 			return
 		}
@@ -401,23 +459,23 @@ func (v *Validator) checkSimple(st *SimpleType, text, path string) {
 			}
 		}
 		if !found {
-			v.fail(path, "value %q not in enumeration", val)
+			v.fail(el, attr, "value %q not in enumeration", val)
 		}
 	}
 	if st.MinLength > 0 && len(val) < st.MinLength {
-		v.fail(path, "length %d below minLength %d", len(val), st.MinLength)
+		v.fail(el, attr, "length %d below minLength %d", len(val), st.MinLength)
 	}
 	if st.MaxLength > 0 && len(val) > st.MaxLength {
-		v.fail(path, "length %d above maxLength %d", len(val), st.MaxLength)
+		v.fail(el, attr, "length %d above maxLength %d", len(val), st.MaxLength)
 	}
 	if st.MinSet || st.MaxSet {
 		f, err := strconv.ParseFloat(val, 64)
 		if err == nil {
 			if st.MinSet && f < st.Min {
-				v.fail(path, "value %v below minInclusive %v", f, st.Min)
+				v.fail(el, attr, "value %v below minInclusive %v", f, st.Min)
 			}
 			if st.MaxSet && f > st.Max {
-				v.fail(path, "value %v above maxInclusive %v", f, st.Max)
+				v.fail(el, attr, "value %v above maxInclusive %v", f, st.Max)
 			}
 		}
 	}
